@@ -248,16 +248,28 @@ void OgEngine::rebuild(std::size_t depth) {
 
 void OgEngine::extend_to(std::size_t depth) { miter_->extend_to(depth); }
 
+bool OgEngine::fact_fits(const Observation& obs) const {
+  if (obs.inputs.empty() || obs.outputs.size() != obs.inputs.size()) {
+    return false;
+  }
+  for (std::size_t t = 0; t < obs.inputs.size(); ++t) {
+    if (obs.inputs[t].size() != locked_.inputs().size() ||
+        obs.outputs[t].size() != locked_.outputs().size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<Observation> OgEngine::banked_observations() {
   std::vector<Observation> out;
   if (bank_ == nullptr) return out;
   for (Observation& obs : bank_->snapshot()) {
     // Facts from a different interface cannot appear in this bank (the
-    // registry keys on the locked/reference pair), but guard anyway.
-    if (obs.inputs.empty() ||
-        obs.inputs[0].size() != oracle_.num_inputs()) {
-      continue;
-    }
+    // registry keys on the locked/reference pair), but a bank loaded from
+    // disk is outside input: skip any fact that does not match the locked
+    // circuit's widths in every frame.
+    if (!fact_fits(obs)) continue;
     out.push_back(std::move(obs));
     // Startup constraints are prior knowledge, not avoided oracle calls:
     // counting them as replayed_queries would inflate the "queries answered

@@ -114,11 +114,11 @@ class OgEngine {
   std::vector<std::vector<sim::BitVec>> query_oracle_batch(
       const std::vector<std::vector<sim::BitVec>>& sequences);
 
-  /// Guarded snapshot of the attached bank: every fact whose interface
-  /// matches this oracle, each counted as one preloaded fact. Empty without
-  /// a bank. The one place the replay guard/accounting lives — both the
-  /// shared loop's constraint replay and custom strategies (periodic) pull
-  /// their banked facts through here.
+  /// Guarded snapshot of the attached bank: every fact whose widths match
+  /// the locked circuit in every frame (see fact_fits), each counted as one
+  /// preloaded fact. Empty without a bank. The one place the replay
+  /// guard/accounting lives — both the shared loop's constraint replay and
+  /// custom strategies (periodic) pull their banked facts through here.
   std::vector<Observation> banked_observations();
 
   /// Oracle-consistency constraint on both key copies of the engine miter
@@ -184,6 +184,11 @@ class OgEngine {
   /// hinted subspace is discriminated" and external verification arbitrates.
   sat::Result solve_hinted(std::vector<sat::Lit> assumptions,
                            bool drop_on_unsat);
+
+  /// A non-empty fact with one output vector per input vector, every one as
+  /// wide as the locked circuit's ports: the only facts the CNF layer can
+  /// take (it rejects the rest with std::invalid_argument).
+  bool fact_fits(const Observation& obs) const;
 
   const netlist::Netlist& locked_;
   const SequentialOracle& oracle_;

@@ -10,7 +10,7 @@ namespace {
 
 /// BMC / KC2 / RANE: the sequential DIS loop. The three differ only in
 /// Spec flags (incremental solver, symbolic reset state, warmup volume) and
-/// in KC2's wrong-candidate blocking clause.
+/// in the wrong-candidate blocking clause KC2 and RANE add.
 class SeqDipStrategy : public DipStrategy {
  public:
   explicit SeqDipStrategy(const SeqAttackOptions& options)
@@ -35,7 +35,12 @@ class SeqDipStrategy : public DipStrategy {
   }
 
   void on_refuted(OgEngine& engine, const sim::BitVec& key) override {
-    if (!options_.incremental) return;
+    // BMC needs no block: its counterexample, constrained from the power-up
+    // state, already refutes the key. Under RANE's symbolic reset the same
+    // fact can leave the key consistent from another start state, and the
+    // loop would return it (and the same counterexample) until the budget
+    // runs out.
+    if (!options_.incremental && !options_.symbolic_init) return;
     // KC2-style: additionally block this exact wrong key.
     std::vector<sat::Lit> block;
     for (std::size_t i = 0; i < key.size(); ++i) {

@@ -1,102 +1,148 @@
 #include "cnf/miter.hpp"
 
 #include <stdexcept>
-
-#include "netlist/topo.hpp"
+#include <string>
 
 namespace cl::cnf {
 
-using netlist::DffInit;
 using netlist::Netlist;
 using netlist::SignalId;
 using sat::Lit;
 using sat::Solver;
 using sat::Var;
 
+namespace {
+
+/// Fold one frame's output comparison into the running "differs" term.
+Term accumulate_diff(Solver& solver, Term so_far, const Frame& a,
+                     const std::vector<SignalId>& outs_a, const Frame& b,
+                     const std::vector<SignalId>& outs_b) {
+  std::vector<Term> any{so_far};
+  std::vector<Term> pair;
+  for (std::size_t o = 0; o < outs_a.size(); ++o) {
+    const Term ya = a[outs_a[o]];
+    const Term yb = b[outs_b[o]];
+    if (ya == yb) continue;  // shared logic cannot differ
+    pair = {ya, yb};
+    any.push_back(make_xor(solver, pair));
+  }
+  return make_or(solver, any);
+}
+
+std::vector<Term> constant_terms(const sim::BitVec& bits) {
+  std::vector<Term> out;
+  out.reserve(bits.size());
+  for (const std::uint8_t b : bits) out.push_back(Term::constant(b != 0));
+  return out;
+}
+
+/// Shared body of constrain_key_on_sequence / constrain_schedule_on_sequence:
+/// frame t reads the key terms of slots[t % slots.size()].
+void constrain_run(Solver& solver, const Netlist& nl,
+                   const std::vector<std::vector<Var>>& slots,
+                   const std::vector<sim::BitVec>& inputs,
+                   const std::vector<sim::BitVec>& outputs,
+                   const std::vector<Var>* init_vars, const char* caller) {
+  const auto reject = [caller](const std::string& what) {
+    throw std::invalid_argument(std::string(caller) + ": " + what);
+  };
+  if (inputs.size() != outputs.size()) reject("length mismatch");
+  if (slots.empty()) reject("no key slots");
+  for (const std::vector<Var>& slot : slots) {
+    if (slot.size() != nl.key_inputs().size()) reject("key width mismatch");
+  }
+  if (init_vars != nullptr && init_vars->size() != nl.dffs().size()) {
+    reject("init state width mismatch");
+  }
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    if (inputs[t].size() != nl.inputs().size()) {
+      reject("input width mismatch at frame " + std::to_string(t));
+    }
+    if (outputs[t].size() != nl.outputs().size()) {
+      reject("output width mismatch at frame " + std::to_string(t));
+    }
+  }
+  if (inputs.empty()) return;
+
+  std::vector<std::vector<Term>> keys;
+  keys.reserve(slots.size());
+  for (const std::vector<Var>& slot : slots) keys.push_back(var_terms(slot));
+  std::vector<Term> state = init_vars != nullptr
+                                ? var_terms(*init_vars)
+                                : power_up_state(solver, nl);
+  const FrameProgram program(nl);
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    FrameSources src;
+    src.inputs = constant_terms(inputs[t]);
+    src.keys = keys[t % keys.size()];
+    src.states = std::move(state);
+    const Frame frame = encode_frame(solver, program, std::move(src));
+    // Fix outputs to the oracle response: a determined output either
+    // agrees (nothing to add) or refutes every key (the empty clause).
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+      const Term y = frame[nl.outputs()[o]];
+      const bool want = outputs[t][o] != 0;
+      if (!y.is_const()) {
+        solver.add_unit(want ? y.lit() : ~y.lit());
+      } else if (y.value() != want) {
+        solver.add_clause({});
+        return;
+      }
+    }
+    state = frame.next_state(nl);
+  }
+}
+
+}  // namespace
+
 SequentialMiter::SequentialMiter(Solver& solver, const Netlist& locked,
                                  bool symbolic_initial_state)
-    : solver_(solver),
-      nl_(locked),
-      order_(netlist::topo_order(locked)),
-      symbolic_init_(symbolic_initial_state) {
+    : solver_(solver), nl_(locked), program_(locked) {
   keys_a_.reserve(nl_.key_inputs().size());
   keys_b_.reserve(nl_.key_inputs().size());
   for (std::size_t i = 0; i < nl_.key_inputs().size(); ++i) {
     keys_a_.push_back(solver_.new_var());
     keys_b_.push_back(solver_.new_var());
   }
-  if (symbolic_init_) {
+  if (symbolic_initial_state) {
     init_state_.reserve(nl_.dffs().size());
     for (std::size_t i = 0; i < nl_.dffs().size(); ++i) {
       init_state_.push_back(solver_.new_var());
     }
+    reset_ = var_terms(init_state_);
+  } else {
+    // One power-up for both copies: an X bit is one free variable the two
+    // copies share, like the symbolic reset.
+    reset_ = power_up_state(solver_, nl_);
   }
 }
 
 void SequentialMiter::extend_to(std::size_t depth) {
-  while (frames_a_.size() < depth) {
-    const std::size_t t = frames_a_.size();
+  while (cumulative_diff_.size() < depth) {
+    const std::size_t t = cumulative_diff_.size();
     // Shared inputs for this frame.
     std::vector<Var> ins;
     ins.reserve(nl_.inputs().size());
     for (std::size_t i = 0; i < nl_.inputs().size(); ++i) {
       ins.push_back(solver_.new_var());
     }
-    inputs_.push_back(ins);
+    FrameSources src_a;
+    src_a.inputs = var_terms(ins);
+    src_a.keys = var_terms(keys_a_);
+    src_a.states = t == 0 ? reset_ : last_a_.next_state(nl_);
+    FrameSources src_b;
+    src_b.inputs = src_a.inputs;
+    src_b.keys = var_terms(keys_b_);
+    src_b.states = t == 0 ? reset_ : last_b_.next_state(nl_);
+    inputs_.push_back(std::move(ins));
 
-    const auto make_frame = [&](std::vector<FrameVars>& frames,
-                                const std::vector<Var>& keys) {
-      FrameSources src;
-      src.inputs = ins;
-      src.keys = keys;
-      if (t == 0) {
-        if (symbolic_init_) {
-          src.states = init_state_;
-        } else {
-          src.states.reserve(nl_.dffs().size());
-          for (SignalId d : nl_.dffs()) {
-            const Var v = solver_.new_var();
-            if (nl_.dff_init(d) == DffInit::Zero) encode_const(solver_, v, false);
-            else if (nl_.dff_init(d) == DffInit::One) encode_const(solver_, v, true);
-            src.states.push_back(v);
-          }
-        }
-      } else {
-        const FrameVars& prev = frames[t - 1];
-        src.states.reserve(nl_.dffs().size());
-        for (SignalId d : nl_.dffs()) {
-          src.states.push_back(prev.var[nl_.dff_input(d)]);
-        }
-      }
-      frames.push_back(encode_frame(solver_, nl_, std::move(src), order_));
-    };
-    make_frame(frames_a_, keys_a_);
-    make_frame(frames_b_, keys_b_);
-
-    // diff_t <-> OR over outputs of (a_o XOR b_o)
-    std::vector<Var> xors;
-    xors.reserve(nl_.outputs().size());
-    for (SignalId o : nl_.outputs()) {
-      const Var x = solver_.new_var();
-      encode_xor2(solver_, x, frames_a_[t].var[o], frames_b_[t].var[o]);
-      xors.push_back(x);
-    }
-    const Var diff = solver_.new_var();
-    if (xors.empty()) {
-      encode_const(solver_, diff, false);
-    } else {
-      encode_or(solver_, diff, xors);
-    }
-    frame_diff_.push_back(diff);
-
-    // cumulative_diff up to and including this frame.
-    const Var cum = solver_.new_var();
-    if (t == 0) {
-      encode_eq(solver_, cum, diff);
-    } else {
-      encode_or(solver_, cum, {cumulative_diff_[t - 1], diff});
-    }
-    cumulative_diff_.push_back(cum);
+    Frame a = encode_frame(solver_, program_, std::move(src_a));
+    Frame b = encode_frame(solver_, program_, std::move(src_b), &a);
+    diff_so_far_ = accumulate_diff(solver_, diff_so_far_, a, nl_.outputs(), b,
+                                   nl_.outputs());
+    cumulative_diff_.push_back(to_lit(solver_, diff_so_far_));
+    last_a_ = std::move(a);
+    last_b_ = std::move(b);
   }
 }
 
@@ -104,7 +150,7 @@ Lit SequentialMiter::diff_within(std::size_t depth) const {
   if (depth == 0 || depth > cumulative_diff_.size()) {
     throw std::out_of_range("diff_within: depth not unrolled");
   }
-  return sat::pos(cumulative_diff_[depth - 1]);
+  return cumulative_diff_[depth - 1];
 }
 
 std::vector<sim::BitVec> SequentialMiter::extract_inputs(std::size_t depth) const {
@@ -129,47 +175,16 @@ void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
                                const std::vector<sim::BitVec>& inputs,
                                const std::vector<sim::BitVec>& outputs,
                                const std::vector<Var>* init_vars) {
-  if (inputs.size() != outputs.size()) {
-    throw std::invalid_argument("constrain_key_on_sequence: length mismatch");
-  }
-  std::vector<Var> state;
-  const std::vector<SignalId> order = netlist::topo_order(nl);
-  for (std::size_t t = 0; t < inputs.size(); ++t) {
-    FrameSources src;
-    src.keys = key_vars;
-    if (t == 0) {
-      if (init_vars != nullptr) {
-        if (init_vars->size() != nl.dffs().size()) {
-          throw std::invalid_argument(
-              "constrain_key_on_sequence: init state width mismatch");
-        }
-        state = *init_vars;
-      } else {
-        state.reserve(nl.dffs().size());
-        for (SignalId d : nl.dffs()) {
-          const Var v = solver.new_var();
-          if (nl.dff_init(d) == DffInit::Zero) encode_const(solver, v, false);
-          else if (nl.dff_init(d) == DffInit::One) encode_const(solver, v, true);
-          state.push_back(v);
-        }
-      }
-    }
-    src.states = state;
-    const FrameVars fv = encode_frame(solver, nl, std::move(src), order);
-    // Fix inputs.
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      solver.add_unit(Lit(fv.var[nl.inputs()[i]], inputs[t][i] == 0));
-    }
-    // Fix outputs to the oracle response.
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      solver.add_unit(Lit(fv.var[nl.outputs()[o]], outputs[t][o] == 0));
-    }
-    // Chain state.
-    std::vector<Var> next;
-    next.reserve(nl.dffs().size());
-    for (SignalId d : nl.dffs()) next.push_back(fv.var[nl.dff_input(d)]);
-    state = std::move(next);
-  }
+  constrain_run(solver, nl, {key_vars}, inputs, outputs, init_vars,
+                "constrain_key_on_sequence");
+}
+
+void constrain_schedule_on_sequence(Solver& solver, const Netlist& nl,
+                                    const std::vector<std::vector<Var>>& slots,
+                                    const std::vector<sim::BitVec>& inputs,
+                                    const std::vector<sim::BitVec>& outputs) {
+  constrain_run(solver, nl, slots, inputs, outputs, nullptr,
+                "constrain_schedule_on_sequence");
 }
 
 EquivalenceMiter::EquivalenceMiter(Solver& solver, const Netlist& a,
@@ -177,8 +192,8 @@ EquivalenceMiter::EquivalenceMiter(Solver& solver, const Netlist& a,
     : solver_(solver),
       a_(a),
       b_(b),
-      order_a_(netlist::topo_order(a)),
-      order_b_(netlist::topo_order(b)) {
+      program_a_(a),
+      program_b_(b) {
   if (a.inputs().size() != b.inputs().size() ||
       a.outputs().size() != b.outputs().size()) {
     throw std::invalid_argument("EquivalenceMiter: interface mismatch");
@@ -193,61 +208,27 @@ EquivalenceMiter::EquivalenceMiter(Solver& solver, const Netlist& a,
 }
 
 void EquivalenceMiter::extend_to(std::size_t depth) {
-  while (frames_a_.size() < depth) {
-    const std::size_t t = frames_a_.size();
+  while (cumulative_diff_.size() < depth) {
+    const std::size_t t = cumulative_diff_.size();
     std::vector<Var> ins;
+    ins.reserve(a_.inputs().size());
     for (std::size_t i = 0; i < a_.inputs().size(); ++i) {
       ins.push_back(solver_.new_var());
     }
-    inputs_.push_back(ins);
+    FrameSources src_a;
+    src_a.inputs = var_terms(ins);
+    src_a.keys = var_terms(keys_a_);
+    src_a.states = t == 0 ? power_up_state(solver_, a_) : last_a_.next_state(a_);
+    FrameSources src_b;
+    src_b.inputs = src_a.inputs;
+    src_b.states = t == 0 ? power_up_state(solver_, b_) : last_b_.next_state(b_);
+    inputs_.push_back(std::move(ins));
 
-    const auto make_frame = [&](const Netlist& nl,
-                                const std::vector<netlist::SignalId>& order,
-                                std::vector<FrameVars>& frames,
-                                const std::vector<Var>& keys) {
-      FrameSources src;
-      src.inputs = ins;
-      src.keys = keys;
-      if (t == 0) {
-        src.states.reserve(nl.dffs().size());
-        for (SignalId d : nl.dffs()) {
-          const Var v = solver_.new_var();
-          if (nl.dff_init(d) == DffInit::Zero) encode_const(solver_, v, false);
-          else if (nl.dff_init(d) == DffInit::One) encode_const(solver_, v, true);
-          src.states.push_back(v);
-        }
-      } else {
-        const FrameVars& prev = frames[t - 1];
-        src.states.reserve(nl.dffs().size());
-        for (SignalId d : nl.dffs()) {
-          src.states.push_back(prev.var[nl.dff_input(d)]);
-        }
-      }
-      frames.push_back(encode_frame(solver_, nl, std::move(src), order));
-    };
-    make_frame(a_, order_a_, frames_a_, keys_a_);
-    make_frame(b_, order_b_, frames_b_, {});
-
-    std::vector<Var> xors;
-    for (std::size_t o = 0; o < a_.outputs().size(); ++o) {
-      const Var x = solver_.new_var();
-      encode_xor2(solver_, x, frames_a_[t].var[a_.outputs()[o]],
-                  frames_b_[t].var[b_.outputs()[o]]);
-      xors.push_back(x);
-    }
-    const Var diff = solver_.new_var();
-    if (xors.empty()) {
-      encode_const(solver_, diff, false);
-    } else {
-      encode_or(solver_, diff, xors);
-    }
-    const Var cum = solver_.new_var();
-    if (t == 0) {
-      encode_eq(solver_, cum, diff);
-    } else {
-      encode_or(solver_, cum, {cumulative_diff_[t - 1], diff});
-    }
-    cumulative_diff_.push_back(cum);
+    last_a_ = encode_frame(solver_, program_a_, std::move(src_a));
+    last_b_ = encode_frame(solver_, program_b_, std::move(src_b));
+    diff_so_far_ = accumulate_diff(solver_, diff_so_far_, last_a_, a_.outputs(),
+                                   last_b_, b_.outputs());
+    cumulative_diff_.push_back(to_lit(solver_, diff_so_far_));
   }
 }
 
@@ -255,7 +236,7 @@ Lit EquivalenceMiter::diff_within(std::size_t depth) const {
   if (depth == 0 || depth > cumulative_diff_.size()) {
     throw std::out_of_range("diff_within: depth not unrolled");
   }
-  return sat::pos(cumulative_diff_[depth - 1]);
+  return cumulative_diff_[depth - 1];
 }
 
 std::vector<sim::BitVec> EquivalenceMiter::extract_inputs(

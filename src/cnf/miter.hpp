@@ -5,14 +5,23 @@
 // "outputs differ within d frames" indicator variables. Solving with the
 // indicator assumed true yields a discriminating input sequence (DIS).
 //
-// constrain_key_on_sequence: the oracle-consistency constraint — one fresh
+// Both copies go through the partially evaluating frame walker. Per frame,
+// copy B takes copy A's term for every signal its key does not reach (the
+// key inputs plus every DFF whose D pin they reached in the previous frame
+// are the tainted sources), so only the key-dependent logic is encoded
+// twice, and an output XOR is skipped when both copies hold one term.
+//
+// constrain_key_on_sequence: the oracle-consistency constraint — one
 // unrolled copy with inputs fixed to a concrete sequence and outputs fixed to
-// the oracle's response, evaluated under a given key vector.
+// the oracle's response, evaluated under a given key vector. Inputs and the
+// power-up state are constants, so only the key-dependent logic gets
+// clauses; a determined output that contradicts the oracle adds the empty
+// clause.
 #pragma once
 
 #include <vector>
 
-#include "cnf/unroller.hpp"
+#include "cnf/encoder.hpp"
 #include "sim/sequence.hpp"
 
 namespace cl::cnf {
@@ -28,7 +37,7 @@ class SequentialMiter {
   /// Unroll both copies to `depth` frames.
   void extend_to(std::size_t depth);
 
-  std::size_t depth() const { return frames_a_.size(); }
+  std::size_t depth() const { return cumulative_diff_.size(); }
 
   /// Literal that is true iff some output differs in frames [0, depth).
   /// Valid after extend_to(depth).
@@ -54,16 +63,16 @@ class SequentialMiter {
  private:
   sat::Solver& solver_;
   const netlist::Netlist& nl_;
-  std::vector<netlist::SignalId> order_;  // levelized once, reused per frame
-  bool symbolic_init_;
+  FrameProgram program_;  // built once, walked per frame and copy
   std::vector<sat::Var> keys_a_;
   std::vector<sat::Var> keys_b_;
   std::vector<sat::Var> init_state_;            // shared when symbolic
+  std::vector<Term> reset_;                     // frame-0 state of both copies
   std::vector<std::vector<sat::Var>> inputs_;   // per frame
-  std::vector<FrameVars> frames_a_;
-  std::vector<FrameVars> frames_b_;
-  std::vector<sat::Var> frame_diff_;            // per frame
-  std::vector<sat::Var> cumulative_diff_;       // per depth (index d-1)
+  Frame last_a_;                                // most recent frame per copy
+  Frame last_b_;
+  Term diff_so_far_;                            // some output differed yet
+  std::vector<sat::Lit> cumulative_diff_;       // per depth (index d-1)
 };
 
 /// Cross-circuit bounded equivalence miter: circuit A (may have key inputs,
@@ -76,7 +85,7 @@ class EquivalenceMiter {
                    const netlist::Netlist& b);
 
   void extend_to(std::size_t depth);
-  std::size_t depth() const { return frames_a_.size(); }
+  std::size_t depth() const { return cumulative_diff_.size(); }
 
   /// Literal: some output differs within [0, depth).
   sat::Lit diff_within(std::size_t depth) const;
@@ -90,13 +99,14 @@ class EquivalenceMiter {
   sat::Solver& solver_;
   const netlist::Netlist& a_;
   const netlist::Netlist& b_;
-  std::vector<netlist::SignalId> order_a_;  // levelized once per circuit
-  std::vector<netlist::SignalId> order_b_;
+  FrameProgram program_a_;  // built once per circuit
+  FrameProgram program_b_;
   std::vector<sat::Var> keys_a_;
   std::vector<std::vector<sat::Var>> inputs_;
-  std::vector<FrameVars> frames_a_;
-  std::vector<FrameVars> frames_b_;
-  std::vector<sat::Var> cumulative_diff_;
+  Frame last_a_;
+  Frame last_b_;
+  Term diff_so_far_;
+  std::vector<sat::Lit> cumulative_diff_;
 };
 
 /// Add the constraint: running `nl` for inputs.size() cycles from the reset
@@ -104,12 +114,22 @@ class EquivalenceMiter {
 /// input sequence produces exactly `outputs`. This is the DIP-consistency
 /// clause set of the oracle-guided attack loop. When `init_vars` is given,
 /// the run starts from those shared symbolic state variables instead of the
-/// power-up constants (RANE threat model).
+/// power-up constants (RANE threat model). Throws std::invalid_argument,
+/// before adding any clause, when the sequence lengths differ or a key,
+/// state, input or output width does not match `nl`.
 void constrain_key_on_sequence(sat::Solver& solver, const netlist::Netlist& nl,
                                const std::vector<sat::Var>& key_vars,
                                const std::vector<sim::BitVec>& inputs,
                                const std::vector<sim::BitVec>& outputs,
                                const std::vector<sat::Var>* init_vars = nullptr);
+
+/// The same constraint for a periodic key schedule: frame t reads the key
+/// variables of `slots[t % slots.size()]`, from the power-up state.
+void constrain_schedule_on_sequence(
+    sat::Solver& solver, const netlist::Netlist& nl,
+    const std::vector<std::vector<sat::Var>>& slots,
+    const std::vector<sim::BitVec>& inputs,
+    const std::vector<sim::BitVec>& outputs);
 
 /// Extract the model values of `vars` as a BitVec.
 sim::BitVec extract_bits(const sat::Solver& solver,

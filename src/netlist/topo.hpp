@@ -9,8 +9,9 @@
 namespace cl::netlist {
 
 /// Level-sorted topological view of the combinational core — the single
-/// levelization point every evaluator (compiled simulator, CNF encoder,
-/// structural analyses) builds on. `order` lists sources and DFF Qs first
+/// levelization point the compiled simulator and the structural analyses
+/// build on. (The CNF walker needs no levels: cnf::FrameProgram takes a
+/// plain DFS order, which skips the fanout lists built here.) `order` lists sources and DFF Qs first
 /// (level 0), then combinational gates grouped by logic level in ascending
 /// SignalId order within each level; `level_begin[l] .. level_begin[l+1]`
 /// delimits level l inside `order` (level 0 = the sources).

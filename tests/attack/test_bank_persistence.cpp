@@ -16,6 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "attack/oracle.hpp"
+#include "attack/seq_attack.hpp"
+#include "benchgen/catalog.hpp"
+#include "lock/comb_locks.hpp"
 #include "sim/sequence.hpp"
 
 namespace cl::attack {
@@ -190,6 +194,36 @@ TEST_F(BankPersistence, AbsurdFactCountIsRejected) {
   std::string error;
   EXPECT_FALSE(load_observation_banks(path_, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST_F(BankPersistence, MalformedFactsInALoadedBankAreSkipped) {
+  // A bank file is outside input: a fact whose widths do not match the
+  // locked circuit in every frame must not reach the CNF layer (which would
+  // index past its vectors). Only the well-formed fact is preloaded.
+  const netlist::Netlist nl = benchgen::make_circuit("s27").netlist;
+  util::Rng rng(23);
+  const auto lr = lock::xor_lock(nl, 4, rng);
+  const SequentialOracle oracle(nl);
+  const std::vector<sim::BitVec> good = seq({"0110", "1011", "0001"});
+  ObservationBank crafted;
+  crafted.record(good, oracle.query(good));
+  crafted.record(seq({"1000", "10"}), seq({"0", "1"}));       // short 2nd frame
+  crafted.record(seq({"0100", "0010"}), seq({"1", ""}));      // short output
+  crafted.record(seq({"1100", "0011"}), seq({"1"}));          // one output frame
+  crafted.record(seq({"1110"}), seq({"01"}));                 // long output
+  ASSERT_EQ(crafted.size(), 5u);
+  write_file(registry_file_with(bank_key(lr.locked, nl), crafted));
+  std::string error;
+  ASSERT_TRUE(load_observation_banks(path_, &error)) << error;
+
+  setenv("CUTELOCK_OBS_BANK", "1", 1);
+  AttackBudget budget;
+  budget.max_iterations = 200;
+  budget.max_depth = 16;
+  const AttackResult r = kc2_attack(lr.locked, oracle, budget);
+  unsetenv("CUTELOCK_OBS_BANK");
+  EXPECT_EQ(r.preloaded_facts, 1u);
+  EXPECT_EQ(r.outcome, Outcome::Equal) << r.summary();
 }
 
 TEST_F(BankPersistence, MissingFileIsAnError) {

@@ -17,11 +17,11 @@ using sat::Solver;
 using sat::Var;
 
 /// Property: for random input assignments, constraining the frame inputs to
-/// those constants forces every signal variable to the simulator's value.
+/// those constants forces every signal term to the simulator's value.
 void check_encoding_matches_sim(const Netlist& nl, std::uint64_t seed) {
   util::Rng rng(seed);
   Solver solver;
-  const FrameVars frame = encode_frame(solver, nl);
+  const Frame frame = encode_frame(solver, nl);
   sim::BitSim sim(nl);
 
   for (int trial = 0; trial < 16; ++trial) {
@@ -29,24 +29,23 @@ void check_encoding_matches_sim(const Netlist& nl, std::uint64_t seed) {
     for (SignalId i : nl.inputs()) {
       const bool v = rng.chance(1, 2);
       sim.set(i, v ? ~0ULL : 0ULL);
-      assumptions.push_back(Lit(frame.var[i], !v));
+      assumptions.push_back(Lit(frame[i].lit().var(), !v));
     }
     for (SignalId k : nl.key_inputs()) {
       const bool v = rng.chance(1, 2);
       sim.set(k, v ? ~0ULL : 0ULL);
-      assumptions.push_back(Lit(frame.var[k], !v));
+      assumptions.push_back(Lit(frame[k].lit().var(), !v));
     }
     // DFF outputs are frame sources too; drive them explicitly.
     // (BitSim reset state is 0 for these circuits.)
     for (SignalId d : nl.dffs()) {
-      assumptions.push_back(Lit(frame.var[d], true));  // q = 0
+      assumptions.push_back(Lit(frame[d].lit().var(), true));  // q = 0
     }
     sim.eval();
     ASSERT_EQ(solver.solve(assumptions), Result::Sat);
     for (SignalId s = 0; s < nl.size(); ++s) {
-      if (frame.var[s] < 0) continue;
       const bool sim_val = sim.get(s) & 1ULL;
-      EXPECT_EQ(solver.model_value(frame.var[s]), sim_val)
+      EXPECT_EQ(model_value(solver, frame[s]), sim_val)
           << nl.signal_name(s) << " trial " << trial;
     }
   }
@@ -90,11 +89,16 @@ TEST(Encoder, ConstantsForced) {
   const SignalId y = nl.add_and(one, zero, "y");
   nl.add_output(y);
   Solver solver;
-  const FrameVars frame = encode_frame(solver, nl);
+  const Frame frame = encode_frame(solver, nl);
+  // Constants fold: no variable, no clause.
+  EXPECT_EQ(frame[one], Term::constant(true));
+  EXPECT_EQ(frame[zero], Term::constant(false));
+  EXPECT_EQ(frame[y], Term::constant(false));
+  EXPECT_EQ(solver.num_vars(), 0);
   ASSERT_EQ(solver.solve(), Result::Sat);
-  EXPECT_TRUE(solver.model_value(frame.var[one]));
-  EXPECT_FALSE(solver.model_value(frame.var[zero]));
-  EXPECT_FALSE(solver.model_value(frame.var[y]));
+  EXPECT_TRUE(model_value(solver, frame[one]));
+  EXPECT_FALSE(model_value(solver, frame[zero]));
+  EXPECT_FALSE(model_value(solver, frame[y]));
 }
 
 TEST(Encoder, SharedSourceVarsTieFramesTogether) {
@@ -110,26 +114,26 @@ y = XOR(a, keyinput0)
   Solver solver;
   const Var key = solver.new_var();
   FrameSources src_a;
-  src_a.keys = {key};
+  src_a.keys = {Term::var(key)};
   FrameSources src_b;
-  src_b.keys = {key};
-  const FrameVars fa = encode_frame(solver, nl, src_a);
-  const FrameVars fb = encode_frame(solver, nl, src_b);
+  src_b.keys = {Term::var(key)};
+  const Frame fa = encode_frame(solver, nl, src_a);
+  const Frame fb = encode_frame(solver, nl, src_b);
   const SignalId y = nl.find("y");
   const SignalId a = nl.find("a");
   // a_A=0, y_A=1 => key=1 ; then a_B=1 must give y_B=0.
-  std::vector<Lit> assumptions{
-      Lit(fa.var[a], true), Lit(fa.var[y], false), Lit(fb.var[a], false)};
+  std::vector<Lit> assumptions{~fa[a].lit(), fa[y].lit(), fb[a].lit()};
   ASSERT_EQ(solver.solve(assumptions), Result::Sat);
   EXPECT_TRUE(solver.model_value(key));
-  EXPECT_FALSE(solver.model_value(fb.var[y]));
+  EXPECT_FALSE(model_value(solver, fb[y]));
 }
 
 TEST(Encoder, SourceArityMismatchRejected) {
   const Netlist nl = netlist::read_bench_string("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
   Solver solver;
   FrameSources src;
-  src.inputs = {solver.new_var(), solver.new_var()};  // too many
+  src.inputs = {Term::var(solver.new_var()),
+                Term::var(solver.new_var())};  // too many
   EXPECT_THROW(encode_frame(solver, nl, src), std::invalid_argument);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "netlist/bench_io.hpp"
 #include "netlist/topo.hpp"
 
@@ -33,15 +36,17 @@ G13 = NAND(G2, G12)
 
 Netlist s27() { return netlist::read_bench_string(k_s27, "s27"); }
 
+// The scheme is a std::string, not a const char*: gtest prints a char pointer
+// with its address, which would put a run-dependent value in the test name.
 class CombLockValidation
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(CombLockValidation, CorrectKeyTransparentWrongKeyCorrupts) {
   const auto [scheme, seed] = GetParam();
   const Netlist nl = s27();
   util::Rng rng(seed);
   LockResult lr{Netlist(""), {}, {}, ""};
-  const std::string name(scheme);
+  const std::string& name = scheme;
   if (name == "xor") lr = xor_lock(nl, 5, rng);
   else if (name == "mux") lr = mux_lock(nl, 4, rng);
   else if (name == "sar") lr = sar_lock(nl, 4, rng);
