@@ -43,17 +43,13 @@ attack::AttackBudget table_budget(double seconds) {
   b.max_iterations = 500;
   b.max_depth = 24;
   b.conflict_budget = 4'000'000;
-  b.sat_workers = util::sat_portfolio_from_env();
   b.sat_preprocess = util::sat_preprocess_from_env();
   if (stable_cells()) {
     // Byte-identical output requires outcomes that do not depend on the
     // clock: replace wall deadlines (attack and candidate-key verification)
-    // with the deterministic budgets above (iterations, depth, conflicts),
-    // and race no portfolio (the winning worker — hence the recovered key
-    // model — depends on scheduling).
+    // with the deterministic budgets above (iterations, depth, conflicts).
     b.time_limit_s = 1e9;
     b.verify_time_limit_s = 1e9;
-    b.sat_workers = 1;
     // sat_preprocess_from_env already yields false under stable mode; force
     // it here too so a direct table_budget caller cannot drift.
     b.sat_preprocess = false;

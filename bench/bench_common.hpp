@@ -9,10 +9,8 @@
 //                            hardware_concurrency)
 //   CUTELOCK_BENCH_STABLE=1  omit wall-clock durations from table cells so
 //                            the rendered table is byte-identical across
-//                            runs and thread counts (also forces the SAT
-//                            portfolio off)
-//   CUTELOCK_SAT_PORTFOLIO   diversified CDCL workers racing each solver
-//                            call (default 1 = off)
+//                            runs and thread counts (also turns SAT
+//                            preprocessing and key hints off)
 //
 // Full reference: docs/benchmarks.md.
 #pragma once

@@ -13,7 +13,6 @@
 #include "core/cute_lock_str.hpp"
 #include "fsm/synth.hpp"
 #include "logic/minimize.hpp"
-#include "sat/portfolio.hpp"
 #include "sat/solver.hpp"
 #include "sim/bit_sim.hpp"
 #include "sim/compiled.hpp"
@@ -242,28 +241,6 @@ void BM_SolverIncrementalAssumptions(benchmark::State& state) {
   report_solver_stats(state, total);
 }
 BENCHMARK(BM_SolverIncrementalAssumptions);
-
-void BM_SolverPortfolioRace(benchmark::State& state) {
-  // N diversified workers racing the phase-transition mix; first winner
-  // cancels the rest. Wall time (UseRealTime) is the honest comparison
-  // against the single-solver BM_SolverRandom3SatPhaseTransition above.
-  const std::size_t workers = static_cast<std::size_t>(state.range(0));
-  const int nv = 150;
-  const int nc = static_cast<int>(nv * 4.26);
-  sat::Solver::Stats total;
-  for (auto _ : state) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      util::Rng rng(seed);
-      sat::PortfolioSolver solver(workers);
-      add_random_3sat(solver, rng, nv, nc);
-      benchmark::DoNotOptimize(solver.solve());
-      accumulate_stats(total, solver.stats());
-    }
-  }
-  report_solver_stats(state, total);
-  state.counters["workers"] = static_cast<double>(workers);
-}
-BENCHMARK(BM_SolverPortfolioRace)->Arg(4)->UseRealTime();
 
 void BM_BitSim64Lanes(benchmark::State& state) {
   const auto circuit = benchgen::make_circuit("b14");

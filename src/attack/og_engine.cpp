@@ -212,8 +212,8 @@ void OgEngine::add_io_batch(
   }
 }
 
-std::unique_ptr<sat::PortfolioSolver> OgEngine::make_solver() const {
-  auto solver = std::make_unique<sat::PortfolioSolver>(budget_.sat_workers);
+std::unique_ptr<sat::Solver> OgEngine::make_solver() const {
+  auto solver = std::make_unique<sat::Solver>();
   solver->set_conflict_budget(budget_.conflict_budget);
   // A cancelled job must not sit out a long solve: the budget's cancel flag
   // doubles as the solver's interrupt hook (solve returns Unknown, which the
@@ -428,8 +428,10 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
       // there is nothing more the oracle can discriminate. (Only hint-free:
       // under hints, "no DIP left" covers the hinted subspace, not the key
       // space — the hint-failure branch below re-enters the search instead.)
+      // A proof that runs out of budget ends in Timeout, keeping the key.
       result_.key = key;
-      return finish(v.equivalent ? Outcome::Equal : Outcome::WrongKey, "");
+      return finish(v.outcome(),
+                    v.unfinished ? "key verification ran out of budget" : "");
     }
     if (v.equivalent) {
       // Externally verified, so hints (if any) didn't have to be earned off.

@@ -37,7 +37,7 @@
 #include "attack/result.hpp"
 #include "attack/verify.hpp"
 #include "cnf/miter.hpp"
-#include "sat/portfolio.hpp"
+#include "sat/solver.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -157,8 +157,9 @@ class OgEngine {
   void set_hints(std::vector<std::pair<std::size_t, bool>> hints);
 
   /// Solver factory for strategies that manage their own instances (the
-  /// periodic schedule sweep): portfolio width and conflict budget applied.
-  std::unique_ptr<sat::PortfolioSolver> make_solver() const;
+  /// periodic schedule sweep): conflict budget, cancel flag and
+  /// inprocessing applied.
+  std::unique_ptr<sat::Solver> make_solver() const;
 
   // Terminal results: stamp seconds (and, for timeouts, the candidate).
   AttackResult finish(Outcome outcome, std::string detail);
@@ -202,7 +203,7 @@ class OgEngine {
   std::vector<IoFact> io_;  // replayed on rebuild()
   std::vector<std::pair<std::size_t, bool>> hints_;
   bool hints_active_ = false;
-  std::unique_ptr<sat::PortfolioSolver> solver_;
+  std::unique_ptr<sat::Solver> solver_;
   std::unique_ptr<cnf::SequentialMiter> miter_;
 };
 

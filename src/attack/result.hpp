@@ -79,12 +79,6 @@ struct AttackBudget {
   /// phase of verify_static_key). Kept separate from time_limit_s so bench
   /// harnesses can trade wall deadlines for deterministic budgets.
   double verify_time_limit_s = 5.0;
-  /// Diversified CDCL workers racing each solver call
-  /// (sat::PortfolioSolver); 1 = single deterministic solver. Seeded from
-  /// CUTELOCK_SAT_PORTFOLIO by the bench harnesses and the CLI, and forced
-  /// to 1 under CUTELOCK_BENCH_STABLE=1 (a race winner's model is not
-  /// deterministic).
-  std::size_t sat_workers = 1;
   /// SAT pre/inprocessing: run bounded variable elimination (with model
   /// reconstruction) on each rebuilt miter before search, and
   /// subsumption/vivification at restart boundaries. Seeded from

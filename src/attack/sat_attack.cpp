@@ -92,9 +92,8 @@ class AppSatStrategy : public CombDipStrategy {
           engine.locked(), engine.candidate(), engine.oracle().reference(),
           engine.verify_options(false));
       engine.result().key = engine.candidate();
-      *done = engine.finish(v.equivalent ? Outcome::Equal : Outcome::WrongKey,
-                            "appsat settled, error rate " +
-                                std::to_string(error_rate));
+      *done = engine.finish(v.outcome(), "appsat settled, error rate " +
+                                             std::to_string(error_rate));
       return RoundAction::kDone;
     }
     return RoundAction::kContinue;

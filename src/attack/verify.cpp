@@ -74,8 +74,9 @@ VerifyResult verify_static_key(const Netlist& locked, const sim::BitVec& key,
     }
     if (r == sat::Result::Unknown) {
       // Budget exhausted: equivalence holds up to depth-1 but is unproven
-      // beyond; be conservative.
+      // beyond. Not a verdict either way.
       out.equivalent = false;
+      out.unfinished = true;
       return out;
     }
   }

@@ -25,9 +25,20 @@ struct VerifyOptions {
 
 struct VerifyResult {
   bool equivalent = false;
+  /// The SAT phase ran out of budget (conflicts or time_limit_s) before it
+  /// proved or refuted equivalence: `equivalent` is false, but the key is
+  /// not known to be wrong either.
+  bool unfinished = false;
   /// Counterexample input sequence when not equivalent (may be empty if the
   /// mismatch came from the SAT phase at a depth beyond reconstruction).
   std::vector<sim::BitVec> counterexample;
+
+  /// The verdict this check supports for the key: Equal on a proof,
+  /// WrongKey on a refutation, Timeout when the proof did not finish.
+  Outcome outcome() const {
+    if (equivalent) return Outcome::Equal;
+    return unfinished ? Outcome::Timeout : Outcome::WrongKey;
+  }
 };
 
 /// VerifyOptions inheriting the budget's verification caps — the one place

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sat/exchange.hpp"
 #include "util/env.hpp"
-#include "util/fnv.hpp"
 
 namespace cl::sat {
 
@@ -14,25 +12,12 @@ Solver::Solver() : gc_frac_(util::sat_gc_frac_from_env()) {
   level_stamp_.push_back(0);  // slot for decision level 0
 }
 
-Solver::~Solver() = default;
-
-std::uint64_t Solver::next_rand() {
-  // xorshift64*: deterministic per Config::seed, cheap enough for the
-  // decision loop.
-  rng_state_ ^= rng_state_ >> 12;
-  rng_state_ ^= rng_state_ << 25;
-  rng_state_ ^= rng_state_ >> 27;
-  return rng_state_ * 0x2545F4914F6CDD1DULL;
-}
-
 Var Solver::new_var() {
   const Var v = static_cast<Var>(activity_.size());
   activity_.push_back(0.0);
   assigns_.push_back(LBool::Undef);
-  bool initial_phase = config_.default_phase;
-  if (config_.random_initial_phase) initial_phase = (next_rand() & 1) != 0;
-  phase_.push_back(initial_phase);
-  best_phase_.push_back(initial_phase);
+  phase_.push_back(false);
+  best_phase_.push_back(false);
   reason_.push_back(k_cref_undef);
   level_.push_back(0);
   seen_.push_back(false);
@@ -53,39 +38,10 @@ void Solver::set_config(const Config& config) {
   }
   config_ = config;
   max_learnts_ = config.max_learnts;
-  rng_state_ = config.seed * 0x9E3779B97F4A7C15ULL + 0x853c49e6748fea9bULL;
-  if (rng_state_ == 0) rng_state_ = 0x853c49e6748fea9bULL;
-  for (Var v = 0; v < num_vars(); ++v) {
-    if (assigns_[v] != LBool::Undef) continue;  // keep root-implied values
-    bool initial_phase = config_.default_phase;
-    if (config_.random_initial_phase) initial_phase = (next_rand() & 1) != 0;
-    phase_[v] = initial_phase;
-  }
-  best_phase_ = phase_;
-  best_trail_size_ = 0;
 }
 
 void Solver::set_frozen(Var v, bool frozen) {
   frozen_[static_cast<std::size_t>(v)] = frozen;
-}
-
-void Solver::copy_problem_into(Solver& dst) const {
-  if (decision_level() != 0) {
-    throw std::logic_error("copy_problem_into: only legal at decision level 0");
-  }
-  if (dst.num_vars() > num_vars()) {
-    throw std::invalid_argument("copy_problem_into: destination has extra variables");
-  }
-  while (dst.num_vars() < num_vars()) dst.new_var();
-  if (!ok_) {
-    dst.ok_ = false;
-    return;
-  }
-  for (const Lit& l : trail_) dst.add_clause({l});  // root-level units
-  for (const CRef c : clauses_) dst.add_clause(arena_.lits(c));
-  // Learnts are implied by the problem clauses, so replaying them seeds the
-  // clone with everything this solver has derived so far.
-  for (const CRef c : learnts_) dst.add_clause(arena_.lits(c));
 }
 
 LBool Solver::lit_value(Lit l) const {
@@ -451,20 +407,6 @@ void Solver::backtrack(int target_level) {
 }
 
 Lit Solver::pick_branch() {
-  if (config_.random_decision_freq > 0.0 && !heap_.empty()) {
-    // Occasional random decision (portfolio diversification). The variable
-    // stays in the heap; the VSIDS pop below skips assigned entries anyway.
-    const double roll = static_cast<double>(next_rand() >> 11) * 0x1.0p-53;
-    if (roll < config_.random_decision_freq) {
-      const Var v = heap_[static_cast<std::size_t>(next_rand() % heap_.size())];
-      if (assigns_[v] == LBool::Undef &&
-          (remapper_.empty() || !remapper_.eliminated(v))) {
-        ++stats_.decisions;
-        ++stats_.random_decisions;
-        return Lit(v, !phase_[v]);
-      }
-    }
-  }
   while (!heap_empty()) {
     const Var v = heap_pop();
     if (assigns_[v] != LBool::Undef) continue;
@@ -537,58 +479,6 @@ void Solver::analyze_final(Lit p) {
     seen_[v] = false;
   }
   seen_[p.var()] = false;
-}
-
-void Solver::set_exchange(ClauseExchange* exchange, std::size_t source) {
-  exchange_ = exchange;
-  exchange_source_ = source;
-  exchange_cursor_ = 0;
-  imported_hashes_.clear();
-}
-
-namespace {
-
-/// Order-independent clause identity for reader-side dedup: FNV-1a over the
-/// sorted literal codes.
-std::uint64_t clause_hash(const Lit* lits, std::size_t n) {
-  std::int32_t codes[ClauseExchange::k_max_lits];
-  for (std::size_t i = 0; i < n; ++i) codes[i] = lits[i].code();
-  std::sort(codes, codes + n);
-  std::uint64_t h = util::k_fnv_offset;
-  for (std::size_t i = 0; i < n; ++i) {
-    util::fnv1a_mix(h, static_cast<std::uint32_t>(codes[i]));
-  }
-  return h;
-}
-
-}  // namespace
-
-void Solver::export_learnt(const std::vector<Lit>& learnt, int lbd) {
-  if (learnt.size() > ClauseExchange::k_max_lits) return;
-  if (learnt.size() > 1 && lbd > 2) return;  // units and glue only
-  if (exchange_->publish(exchange_source_, learnt.data(), learnt.size())) {
-    ++stats_.shared_exported;
-  }
-}
-
-void Solver::import_shared() {
-  // Caller backtracked to level 0 (import happens at restart boundaries), so
-  // add_clause is legal; imported clauses are implied by the shared problem
-  // database, so a root conflict here is a genuine Unsat verdict (ok_ flips
-  // and solve() reports it).
-  ClauseExchange::Cursor cursor{exchange_cursor_};
-  exchange_->collect(cursor, exchange_source_, [&](const Lit* lits,
-                                                   std::size_t n) {
-    if (!ok_) return;
-    const std::uint64_t h = clause_hash(lits, n);
-    const auto it =
-        std::lower_bound(imported_hashes_.begin(), imported_hashes_.end(), h);
-    if (it != imported_hashes_.end() && *it == h) return;  // already adopted
-    imported_hashes_.insert(it, h);
-    add_clause(std::vector<Lit>(lits, lits + n));
-    ++stats_.shared_imported;
-  });
-  exchange_cursor_ = cursor.next;
 }
 
 double Solver::luby(double y, int i) {
@@ -686,7 +576,6 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       analyze(conflict, learnt, back_level);
       // Exact LBD of the freshly learnt clause, while levels are live.
       const int learnt_lbd = clause_lbd(learnt);
-      if (exchange_ != nullptr) export_learnt(learnt, learnt_lbd);
       if (learnt.size() == 1) {
         // A unit learnt clause is implied by the clause database alone (not
         // the assumptions), so assert it at the root; the decision loop
@@ -732,21 +621,10 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
         ++stats_.restarts;
         conflicts_until_restart = static_cast<std::int64_t>(
             luby(2.0, restart_count) * config_.restart_unit);
-        if (config_.use_best_phase && best_trail_size_ > 0) {
-          phase_ = best_phase_;
-        }
-        if (exchange_ != nullptr) {
-          // Restart boundary: adopt what the other workers published. Import
-          // needs level 0 (full restart instead of the assumption-prefix
-          // one); the decision loop re-places the assumptions afterwards.
-          backtrack(0);
-          import_shared();
-          if (!ok_) return Result::Unsat;
-        } else {
-          backtrack(static_cast<int>(assumptions.size()) <= decision_level()
-                        ? static_cast<int>(assumptions.size())
-                        : 0);
-        }
+        if (best_trail_size_ > 0) phase_ = best_phase_;
+        backtrack(static_cast<int>(assumptions.size()) <= decision_level()
+                      ? static_cast<int>(assumptions.size())
+                      : 0);
         if (inprocess_enabled_ && stats_.restarts >= inprocess_next_restarts_) {
           // Inprocessing needs the root (clauses must be unlocked); the
           // decision loop re-places the assumptions afterwards. Doubling

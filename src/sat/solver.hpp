@@ -11,9 +11,9 @@
 // attack), optional preprocessing (sat/preprocess.hpp — bounded variable
 // elimination with model reconstruction) and inprocessing at restart
 // boundaries (backward subsumption / self-subsuming resolution, clause
-// vivification), per-instance diversification via Config (seeds, polarities,
-// restart pacing) and an external interrupt flag (first-winner cancellation
-// in the portfolio). No external dependencies.
+// vivification), search knobs via Config (restart pacing, learnt-DB size)
+// and an external interrupt flag (job cancellation). No external
+// dependencies.
 #pragma once
 
 #include <atomic>
@@ -27,32 +27,20 @@
 
 namespace cl::sat {
 
-class ClauseExchange;
-
 class Solver {
  public:
-  /// Search-strategy knobs. The defaults are the tuned single-solver
-  /// configuration; PortfolioSolver hands each worker a diversified variant.
-  /// Apply with set_config() before the first solve() — it reseeds the
-  /// decision RNG and re-derives the initial polarity of every unassigned
-  /// variable, discarding saved phases.
+  /// Search-strategy knobs. The defaults are the tuned configuration that
+  /// every attack runs; tests shrink them to stress restarts and learnt-DB
+  /// reduction. Apply with set_config() before the first solve().
   struct Config {
-    std::uint64_t seed = 0;            ///< decision/polarity RNG seed
-    bool default_phase = false;        ///< initial saved polarity
-    bool random_initial_phase = false; ///< scramble initial polarities (seed)
-    double random_decision_freq = 0.0; ///< fraction of random decisions
     int restart_unit = 64;             ///< Luby base interval, in conflicts
-    bool use_best_phase = true;        ///< restore best-trail phases on restart
     std::size_t max_learnts = 4000;    ///< learnt-DB reduction threshold
   };
 
   /// Counters over the solver's lifetime (cumulative across solve() calls).
-  /// After a portfolio race, the winner's counters are folded in — stats
-  /// measure the critical path, not the aggregate of cancelled workers.
   struct Stats {
     std::uint64_t conflicts = 0;
     std::uint64_t decisions = 0;
-    std::uint64_t random_decisions = 0;
     std::uint64_t propagations = 0;
     std::uint64_t restarts = 0;
     std::uint64_t learned = 0;
@@ -60,8 +48,6 @@ class Solver {
     std::uint64_t glue_protected = 0;   ///< clauses the reduce sweep spared
                                         ///< only because LBD <= 2 (or binary)
     std::uint64_t minimized_literals = 0;  ///< literals removed from learnts
-    std::uint64_t shared_exported = 0;  ///< clauses published to the exchange
-    std::uint64_t shared_imported = 0;  ///< clauses adopted from the exchange
     std::uint64_t vars_eliminated = 0;  ///< variables removed by BVE
     std::uint64_t clauses_subsumed = 0;  ///< clauses removed by subsumption
     std::uint64_t vivified_lits = 0;  ///< literals removed by vivification
@@ -70,7 +56,6 @@ class Solver {
   };
 
   Solver();
-  virtual ~Solver();
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
@@ -90,7 +75,7 @@ class Solver {
   /// set_conflict_budget / set_propagation_budget is exhausted, the deadline
   /// passes, or the interrupt flag fires. Assumptions over eliminated
   /// variables revive (and freeze) them first.
-  virtual Result solve(const std::vector<Lit>& assumptions = {});
+  Result solve(const std::vector<Lit>& assumptions = {});
 
   /// Model access after Result::Sat. Models always cover the *original*
   /// problem: values of preprocessing-eliminated variables are reconstructed
@@ -114,30 +99,14 @@ class Solver {
 
   /// External cancellation: solve() polls `flag` once per conflict (and at
   /// entry) and returns Unknown when it reads true. The pointed-to flag must
-  /// outlive the solve call; nullptr disables. This is the portfolio's
-  /// first-winner cancellation hook.
+  /// outlive the solve call; nullptr disables. Its one use is job
+  /// cancellation: the attack engine arms it with AttackBudget::cancel.
   void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
-
-  /// Live clause sharing (portfolio races): publish root units and glue
-  /// learnts (LBD <= 2) to `exchange` as they are learned, and import what
-  /// other workers published at every restart boundary. `source` identifies
-  /// this solver so it skips its own clauses. The exchange must outlive the
-  /// solve call; nullptr disables (the default — a lone solver stays exactly
-  /// deterministic).
-  void set_exchange(ClauseExchange* exchange, std::size_t source);
 
   /// Replace the search configuration (see Config). Only legal at decision
   /// level 0, i.e. outside solve().
   void set_config(const Config& config);
   const Config& config() const { return config_; }
-
-  /// Replay this solver's problem — variables, root-level units, problem
-  /// clauses, and current learnts (they are implied, so sharing them seeds
-  /// the clone with everything learned so far) — into `dst`, which must not
-  /// have more variables than this solver. Only legal at decision level 0.
-  /// Elimination records are NOT copied: revive assumption variables first
-  /// if the clone will be solved under assumptions (PortfolioSolver does).
-  void copy_problem_into(Solver& dst) const;
 
   // ---- preprocessing / inprocessing ---------------------------------------
 
@@ -180,8 +149,7 @@ class Solver {
   std::size_t num_learnts() const { return learnts_.size(); }
   std::size_t arena_bytes() const { return arena_.size_bytes(); }
 
- protected:
-  friend class PortfolioSolver;
+ private:
   friend class Preprocessor;
 
   struct Watcher {
@@ -218,9 +186,6 @@ class Solver {
   bool interrupted() const {
     return interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed);
   }
-  void export_learnt(const std::vector<Lit>& learnt, int lbd);
-  void import_shared();
-  std::uint64_t next_rand();
   static double luby(double y, int i);
 
   // ---- preprocessing / inprocessing internals -----------------------------
@@ -293,12 +258,6 @@ class Solver {
   bool ok_ = true;
 
   Config config_;
-  std::uint64_t rng_state_ = 0x853c49e6748fea9bULL;
-
-  ClauseExchange* exchange_ = nullptr;
-  std::size_t exchange_source_ = 0;
-  std::uint64_t exchange_cursor_ = 0;
-  std::vector<std::uint64_t> imported_hashes_;  // sorted; reader-side dedup
 
   std::int64_t conflict_budget_ = -1;
   std::int64_t propagation_budget_ = -1;

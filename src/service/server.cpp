@@ -583,7 +583,6 @@ void Server::run_attack_job(Job& job, Json* result) {
   budget.max_iterations = job.request.u64_or("max_iterations", budget.max_iterations);
   budget.max_depth = static_cast<std::size_t>(
       job.request.u64_or("max_depth", budget.max_depth));
-  budget.sat_workers = util::sat_portfolio_from_env();
   budget.sat_preprocess = util::sat_preprocess_from_env();
   budget.cancel = &job.cancel;
 

@@ -81,24 +81,6 @@ std::size_t jobs_from_env() {
   return env_size_or("CUTELOCK_JOBS", ThreadPool::default_thread_count());
 }
 
-std::size_t sat_portfolio_from_env() {
-  return env_size_or("CUTELOCK_SAT_PORTFOLIO", 1);
-}
-
-bool sat_share_from_env() {
-  const char* env = std::getenv("CUTELOCK_SAT_SHARE");
-  if (env == nullptr) return true;
-  if (env[0] != '\0' && env[1] == '\0') {
-    if (env[0] == '0') return false;
-    if (env[0] == '1') return true;
-  }
-  std::fprintf(stderr,
-               "warning: ignoring invalid CUTELOCK_SAT_SHARE=\"%s\" (want 0 "
-               "or 1); sharing stays on\n",
-               env);
-  return true;
-}
-
 bool obs_bank_from_env() { return env_flag("CUTELOCK_OBS_BANK"); }
 
 std::string obs_bank_path_from_env() {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "benchgen/catalog.hpp"
 #include "benchgen/s27.hpp"
 #include "core/cute_lock_str.hpp"
 #include "lock/comb_locks.hpp"
@@ -65,6 +66,24 @@ TEST(PeriodicAttack, TooSmallPeriodHypothesisRefuted) {
   const PeriodicAttackResult r =
       periodic_key_attack(locked.locked, oracle, quick(2));
   EXPECT_NE(r.result.outcome, Outcome::Equal) << r.result.summary();
+}
+
+TEST(PeriodicAttack, ScheduleValidationStaysNearTheTimeBudget) {
+  // Each candidate schedule is validated on 48 random 64-cycle trials. On a
+  // 65k-gate circuit that must not run far past a 1 s budget: the trials
+  // run as one batched pass per circuit, and none starts once the budget is
+  // gone.
+  const auto circuit = benchgen::make_circuit("syn64k");
+  core::StrOptions options;
+  options.num_keys = 2;
+  options.key_bits = 4;
+  const auto locked = core::cute_lock_str(circuit.netlist, options);
+  SequentialOracle oracle(circuit.netlist);
+  PeriodicAttackOptions attack = quick(8);
+  attack.budget.time_limit_s = 1.0;
+  const PeriodicAttackResult r =
+      periodic_key_attack(locked.locked, oracle, attack);
+  EXPECT_LT(r.result.seconds, 3.0) << r.result.summary();
 }
 
 }  // namespace

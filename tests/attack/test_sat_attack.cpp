@@ -84,6 +84,25 @@ TEST(SatAttack, BreaksXorLockWithSatPreprocessing) {
   }
 }
 
+TEST(SatAttack, UnfinishedKeyProofEndsTimeoutWithTheCandidate) {
+  // With no time for the SAT phase of key verification the proof cannot
+  // finish. That is no evidence against the key: the attack must end
+  // Timeout and keep its candidate (here the correct key), not report x..x.
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  for (std::uint64_t seed = 2; seed <= 3; ++seed) {
+    util::Rng rng(seed);
+    const auto lr = lock::xor_lock(nl, 6, rng);
+    const ScanFixture fx(lr, nl);
+    SequentialOracle oracle(fx.original_scan);
+    SatAttackOptions options;
+    options.budget.verify_time_limit_s = 0;
+    const AttackResult r = sat_attack(fx.locked_scan, oracle, options);
+    EXPECT_EQ(r.outcome, Outcome::Timeout) << "seed " << seed << ": "
+                                           << r.summary();
+    EXPECT_EQ(r.key, fx.correct_key) << "seed " << seed;
+  }
+}
+
 TEST(SatAttack, BreaksMuxLockOnScanModel) {
   const Netlist nl = netlist::read_bench_string(k_s27, "s27");
   util::Rng rng(7);

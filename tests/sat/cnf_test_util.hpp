@@ -1,7 +1,7 @@
 // Shared CNF generators and oracles for the sat tests: pigeon-hole
 // instances, random width-k CNFs, brute-force verdicts, and clause loading.
-// Kept header-only so both test_solver.cpp and test_portfolio.cpp use the
-// exact same instance distributions.
+// Kept header-only so every sat test uses the exact same instance
+// distributions.
 #pragma once
 
 #include <cmath>

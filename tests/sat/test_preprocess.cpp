@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cnf_test_util.hpp"
-#include "sat/portfolio.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
 
@@ -261,26 +260,6 @@ TEST(Preprocess, UnsatDetectedDuringPreprocessing) {
   // Distribution on either variable yields the empty clause eventually.
   EXPECT_FALSE(s.preprocess());
   EXPECT_EQ(s.solve(), Result::Unsat);
-}
-
-TEST(Preprocess, PortfolioModelsAreReconstructed) {
-  // A preprocessed master racing workers: the workers carry no elimination
-  // records, so the folded model must be extended by the master's remapper.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    util::Rng rng(seed * 11);
-    const auto cnf = test_util::random_cnf(rng, 14, 35);
-    PortfolioSolver s(3);
-    std::vector<Var> vars;
-    for (int i = 0; i < 14; ++i) vars.push_back(s.new_var());
-    test_util::load_cnf(s, cnf, vars);
-    s.preprocess();
-    const bool expect = test_util::brute_force_sat(cnf, 14);
-    const Result got = s.solve();
-    EXPECT_EQ(got, expect ? Result::Sat : Result::Unsat) << "seed " << seed;
-    if (got == Result::Sat) {
-      EXPECT_TRUE(model_satisfies(s, cnf, vars)) << "seed " << seed;
-    }
-  }
 }
 
 }  // namespace

@@ -7,13 +7,11 @@ Hard failures (exit 1):
   - a baseline benchmark missing from the fresh run
   - any drift in the deterministic trajectory counters (conflicts, restarts,
     learnts_deleted, minimized_lits, vars_eliminated, clauses_subsumed,
-    vivified_lits) — the solver is seeded and single-threaded in these
-    benchmarks, so these must match bit-for-bit across machines
+    vivified_lits) — the solver is deterministic and single-threaded, so
+    these must match bit-for-bit across machines
 
 Warnings only (exit 0):
   - real_time regression beyond 15% (throughput depends on the machine)
-
-BM_SolverPortfolioRace is excluded: a race winner depends on scheduling.
 """
 
 import json
@@ -33,7 +31,6 @@ TRAJECTORY_COUNTERS = [
     "sim_gates",
     "sim_lane_words",
 ]
-EXCLUDED_PREFIXES = ("BM_SolverPortfolioRace",)
 TIME_REGRESSION_FACTOR = 1.15
 REL_TOL = 1e-9
 
@@ -45,8 +42,6 @@ def load_benchmarks(path):
     for b in data.get("benchmarks", []):
         name = b.get("name", "")
         if b.get("run_type") != "iteration":
-            continue
-        if name.startswith(EXCLUDED_PREFIXES):
             continue
         out[name] = b
     return out

@@ -231,7 +231,6 @@ int cmd_attack(const Args& args) {
   attack::SequentialOracle oracle(original);
   attack::AttackBudget budget;
   budget.time_limit_s = static_cast<double>(args.get_u64("seconds", 10));
-  budget.sat_workers = util::sat_portfolio_from_env();
   budget.sat_preprocess = util::sat_preprocess_from_env();
 
   const std::string mode = args.get("attack", "bmc");
